@@ -37,9 +37,9 @@ class TriStateRSD:
     enable_energy_fj: float = 23.0  # enable distribution + delay cell
 
     def __post_init__(self):
-        if not (0 < self.swing_v < self.tech.lvdd):
+        if not (0 < self.swing_v <= self.tech.lvdd):
             raise ValueError(
-                f"swing must lie inside (0, LVDD={self.tech.lvdd}V)"
+                f"swing must lie inside (0, LVDD={self.tech.lvdd}V]"
             )
         if self.length_mm <= 0:
             raise ValueError("length must be positive")

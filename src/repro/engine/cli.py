@@ -508,8 +508,8 @@ def _add_seeds_arg(parser):
         metavar="N",
         help="replica seeds per operating point (--seed plus N-1 "
         "strided follow-ons); results are reported as mean ± 95%% CI, "
-        "and on --backend array each point's replicas run as one "
-        "batched kernel pass (default: 1)",
+        "and on --backend array the sweep's rates and replicas run as "
+        "lanes of one batched kernel pass (default: 1)",
     )
 
 
@@ -655,8 +655,8 @@ def cmd_sweep(args):
     )
     groups = None
     if args.seeds > 1:
-        # rate-major / seed-minor: the serial executor folds each
-        # rate's replicas into one batched array-kernel pass
+        # the serial executor folds the rate x replica grid into one
+        # batched array-kernel pass
         groups = run_sweep_replicated(config, mix, rates, args.seeds,
                                       **kwargs)
         points = [g[0] for g in groups]

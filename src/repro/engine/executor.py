@@ -37,6 +37,15 @@ logger = logging.getLogger(__name__)
 #: enough for any paper-methodology point on a slow machine
 DEFAULT_JOB_TIMEOUT = 600.0
 
+#: Most routers (lanes x routers per lane) one batched array-kernel
+#: dispatch may carry.  The kernel is dispatch-bound, so host time per
+#: lane keeps falling as lanes are added (8x8 uniform, ms per lane:
+#: 135 / 56 / 42 / 35 at 1 / 4 / 8 / 16 lanes) while memory grows
+#: linearly; 1024 keeps a 16-point 8x8 sweep or a 4-point 16x16 one
+#: whole and stops a 64-point sweep from ballooning.  A constant read
+#: off that curve, not a tunable (DESIGN.md §9).
+MAX_LANE_ROUTERS = 1024
+
 
 @dataclass(frozen=True)
 class JobFailure:
@@ -458,15 +467,17 @@ class Executor:
         return results
 
     def _run_pending(self, pending):
-        """Dispatch cache misses, batching replica groups on the way.
+        """Dispatch cache misses, batching lane groups on the way.
 
         Serial array-backend fault-free jobs that differ *only* by seed
-        run as one batched kernel pass (:meth:`JobSpec.run_batch`); the
-        fan-in yields one ordinary per-seed result per job, so the
-        caller stores each lane under its normal single-seed content
-        address — batching, like backend, never enters job identity.
-        Everything else (process pools, object-backend jobs, singleton
-        groups) takes the plain backend path.
+        and rate — the replicas and the rate grid of one sweep — run as
+        lanes of one batched kernel pass (:meth:`JobSpec.run_batch`),
+        at most :data:`MAX_LANE_ROUTERS` routers' worth per dispatch;
+        the fan-in yields one ordinary result per job, so the caller
+        stores each lane under its normal single-job content address —
+        batching, like backend, never enters job identity.  Everything
+        else (process pools, object-backend jobs, one-lane chunks)
+        takes the plain backend path.
         """
         if getattr(self.backend, "name", "") != "serial" \
                 or len(pending) < 2:
@@ -475,23 +486,29 @@ class Executor:
         for i, job in enumerate(pending):
             if job.backend == "array" and job.faults is None:
                 payload = job.to_payload()
-                del payload["seed"]
+                del payload["seed"], payload["rate"]
                 key = json.dumps(payload, sort_keys=True)
             else:
                 key = i  # unique key: never grouped
             groups.setdefault(key, []).append(i)
+        chunks = []
+        for idxs in groups.values():
+            routers = pending[idxs[0]].config.num_nodes
+            lanes = max(1, MAX_LANE_ROUTERS // routers)
+            chunks.extend(
+                idxs[at:at + lanes] for at in range(0, len(idxs), lanes)
+            )
         results = [None] * len(pending)
-        solo = [i for idxs in groups.values() if len(idxs) < 2
-                for i in idxs]
+        solo = [idxs[0] for idxs in chunks if len(idxs) == 1]
         for i, stats in zip(
             solo, self.backend.run([pending[i] for i in solo])
         ):
             results[i] = stats
-        for idxs in groups.values():
-            if len(idxs) < 2:
+        for idxs in chunks:
+            if len(idxs) == 1:
                 continue
             lanes = pending[idxs[0]].run_batch(
-                [pending[i].seed for i in idxs]
+                [(pending[i].seed, pending[i].rate) for i in idxs]
             )
             for i, stats in zip(idxs, lanes):
                 results[i] = stats

@@ -81,6 +81,14 @@ class JobSpec:
         for attr in ("warmup", "measure", "drain"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} cycle count must be non-negative")
+        # node n's PRBS-31 register starts at seed + n (every node at
+        # seed under identical_generators) and must be a non-zero state
+        span = 1 if self.identical_generators else self.config.num_nodes
+        if not 1 <= self.seed <= (1 << 31) - span:
+            raise ValueError(
+                f"seed must be within [1, {(1 << 31) - span}] for a "
+                f"{self.config.num_nodes}-node network, got {self.seed}"
+            )
         if self.pattern == UniformPattern():
             object.__setattr__(self, "pattern", None)
         if self.pattern is not None:
@@ -177,7 +185,7 @@ class JobSpec:
 
     # ----------------------------------------------------------- execution
 
-    def _simulator(self, seeds=None):
+    def _simulator(self, seeds=None, rates=None):
         traffic = SyntheticTraffic(
             self.mix,
             self.rate,
@@ -187,7 +195,7 @@ class JobSpec:
             process=self.injection,
         )
         sim = Simulator(self.config, name=self.name, backend=self.backend,
-                        seeds=seeds)
+                        seeds=seeds, rates=rates)
         if self.faults is not None:
             # before the traffic: a hard model swaps the routing
             # runtime, which attach_traffic then validates against
@@ -201,22 +209,24 @@ class JobSpec:
             warmup=self.warmup, measure=self.measure, drain=self.drain
         )
 
-    def run_batch(self, seeds):
-        """Simulate this point once per seed in one batched kernel pass.
+    def run_batch(self, lanes):
+        """Simulate one ``(seed, rate)`` lane per entry of ``lanes`` in
+        one batched kernel pass; this job supplies everything else.
 
         Requires ``backend="array"`` (the batch axis lives in the
         struct-of-arrays kernel).  Returns one :class:`WindowStats` per
-        seed, in order, each byte-identical to ``replace(self,
-        seed=s).run()`` — batching is an execution detail, never an
+        lane, in order, each byte-identical to ``replace(self, seed=s,
+        rate=r).run()`` — batching is an execution detail, never an
         identity axis, so callers (the Executor) cache each lane under
-        its ordinary single-seed content address.
+        its ordinary single-job content address.
         """
         if self.faults is not None:
             raise ValueError(
-                "batched multi-seed runs are fault-free only (faults "
-                "are object-backend-only)"
+                "batched runs are fault-free only (faults are "
+                "object-backend-only)"
             )
-        return self._simulator(seeds=list(seeds)).run_experiment_batch(
+        seeds, rates = zip(*lanes)
+        return self._simulator(seeds, rates).run_experiment_batch(
             warmup=self.warmup, measure=self.measure, drain=self.drain
         )
 

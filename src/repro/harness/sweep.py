@@ -61,8 +61,10 @@ def run_sweep(config, mix, rates, name="", executor=None, **kwargs):
     Each point runs on a fresh network (the paper's measurements reset
     the chip between operating points), so points are independent and
     the sweep order does not matter — which is exactly what lets the
-    process-pool backend fan them out.  Pass ``executor`` to choose a
-    backend and/or attach a :class:`~repro.engine.ResultCache`.
+    process-pool backend fan them out, and a serial executor over the
+    array backend run the whole rate grid as lanes of one batched
+    kernel pass.  Pass ``executor`` to choose a backend and/or attach a
+    :class:`~repro.engine.ResultCache`.
     """
     jobs = [
         JobSpec(config=config, mix=mix, rate=rate, name=name, **kwargs)
@@ -79,12 +81,13 @@ def run_sweep_replicated(config, mix, rates, replicas, name="",
 
     The seed schedule is :func:`repro.analysis.replicas.replica_seeds`
     (replica 0 is the base seed), and jobs are submitted rate-major /
-    seed-minor — consecutive jobs differ only by seed, so a serial
-    executor over the array backend folds each rate's replicas into
-    one batched kernel pass while every result is still cached under
-    its ordinary single-seed content address.  Returns a list (in rate
-    order) of per-replica ``WindowStats`` lists (in seed order); feed
-    each group to :func:`repro.analysis.replicas.aggregate_replicas`.
+    seed-minor.  They differ only by seed and rate, so a serial
+    executor over the array backend folds the whole rate x replica
+    grid into one batched kernel pass while every result is still
+    cached under its ordinary single-job content address.  Returns a
+    list (in rate order) of per-replica ``WindowStats`` lists (in seed
+    order); feed each group to
+    :func:`repro.analysis.replicas.aggregate_replicas`.
     """
     seeds = replica_seeds(seed, replicas)
     jobs = [
@@ -110,10 +113,10 @@ def run_sweep_batch(named_configs, mix, rates, executor=None, replicas=1,
     other.  Returns ``{name: [WindowStats in rate order]}``.
 
     With ``replicas > 1`` each rate runs once per seed of
-    :func:`~repro.analysis.replicas.replica_seeds` (rate-major /
-    seed-minor, so serial array-backend replicas batch into one kernel
-    pass) and each series entry is the per-replica list instead of a
-    single WindowStats.
+    :func:`~repro.analysis.replicas.replica_seeds` (on a serial
+    array-backend executor each config's rate x replica grid is one
+    batched kernel pass) and each series entry is the per-replica list
+    instead of a single WindowStats.
     """
     items = list(named_configs.items())
     seeds = replica_seeds(seed, replicas)

@@ -10,12 +10,14 @@ byte-identical WindowStats and per-router counters on every supported
 workload axis.
 
 Every array also carries a leading *batch* axis: ``ArraySimulator(...,
-seeds=[...])`` lays out ``B`` replica simulations lane by lane (lane
-``b`` owns routers ``[b*R, (b+1)*R)`` in the flattened index space)
-and advances all of them in the same vectorized pass, so ``N`` seeds
-cost one kernel dispatch per cycle instead of ``N``.  Lanes share the
-static route/group tables and nothing else; lane ``b`` of a batched
-run is byte-identical to a single-seed run with that seed.
+seeds=[...], rates=[...])`` lays out ``B`` simulations lane by lane
+(lane ``b`` owns routers ``[b*R, (b+1)*R)`` in the flattened index
+space, runs at ``seeds[b]`` and ``rates[b]``) and advances all of them
+in the same vectorized pass, so the ``N`` points of a rate x replica
+sweep cost one kernel dispatch per cycle instead of ``N``.  Lanes share
+the config, the mix, pattern and process, the static route/group
+tables and the measurement windows, and nothing else; lane ``b`` of a
+batched run is byte-identical to a solo run at its seed and rate.
 
 Support matrix (anything outside raises a clear ``ValueError``):
 
@@ -31,8 +33,10 @@ routing              xy, yx, o1turn, valiant (yx rejects
                      multicast mixes: the trees are XY-only)
 patterns             all registered patterns
 injection processes  all (bernoulli, onoff, mmp)
-batching             ``seeds=[...]`` runs N replica lanes in one
-                     pass (object backend is one replica per run)
+batching             ``seeds=[...]`` (+ ``rates=[...]``) runs N
+                     ``(seed, rate)`` lanes in one pass (object
+                     backend is one point per run)
+packet length        at most 127 flits (int8 packet table)
 pipeline             combined ST+LT only (``separate_st_lt``
                      is object-only)
 faults               object-only

@@ -6,14 +6,16 @@ Routers are flattened: with ``R = k*k`` routers per replica and ``P =
 5`` ports, input port ``p`` of router ``r`` is flat index ``n = r*P +
 p`` and the matching output port is the same flat index on the output
 side.  A leading **batch axis** turns one kernel pass into ``B``
-independent replica simulations (same config, different traffic
-seeds): lane ``b`` owns global nodes ``[b*R, (b+1)*R)`` and global
-ports ``[b*R*P, (b+1)*R*P)``, so every per-port array is simply ``B``
-times longer and every vectorized phase sweeps all replicas at once.
-Links and credit returns never cross a lane boundary (the static
-``DST_IN``/``CRED_TARGET`` tables are built per lane and offset), so
-lane ``b`` of a batched run is bit-for-bit the single-seed simulation
-of its seed.  Credit trackers are unified: tracker ``m < B*R*P`` is
+independent simulations of the same config, mix and windows, each
+lane a ``(seed, rate)`` pair — the replicas of one operating point,
+the points of one rate sweep, or both: lane ``b`` owns global nodes
+``[b*R, (b+1)*R)`` and global ports ``[b*R*P, (b+1)*R*P)``, so every
+per-port array is simply ``B`` times longer and every vectorized phase
+sweeps all lanes at once.  Links and credit returns never cross a lane
+boundary (the static ``DST_IN``/``CRED_TARGET`` tables are built per
+lane and offset) and the injection probabilities are per node, so lane
+``b`` of a batched run is bit-for-bit the solo simulation at its seed
+and rate.  Credit trackers are unified: tracker ``m < B*R*P`` is
 router output port ``m`` and tracker ``B*R*P + g`` is the NIC of
 global node ``g``.
 
@@ -64,7 +66,7 @@ pipeline invariant) and folded to per-router view lazily, and the NIC
 front end (injection draws, VC allocation, class round-robin) runs as
 vectorized passes over numpy ring queues.  Batching multiplies the
 work per pass without adding passes — which is the whole point: ``B``
-replicas cost roughly one replica's dispatch overhead.
+lanes cost roughly one lane's dispatch overhead.
 
 Draw-stream contract
 --------------------
@@ -78,8 +80,8 @@ broadcast packets consume no destination and no routing word, o1turn
 consumes one routing-stream bit and valiant one routing-stream word
 per *unicast* packet header.  Initial states are produced by the
 tested scalar constructors (seed diffusion, the stationary-
-distribution chain draw), then lifted into the arrays — so the very
-first draw already matches the oracle.
+distribution chain draw) when the traffic source binds, then lifted
+into the arrays — so the very first draw already matches the oracle.
 
 Everything observable — WindowStats, per-router and per-NIC
 ActivityCounters, stop reasons, watchdog behaviour — is byte-identical
@@ -219,17 +221,19 @@ class ArraySimulator:
     backend; unsupported workload axes raise ``ValueError`` at attach
     or construction time instead of silently diverging.
 
-    ``seeds=[s0, s1, ...]`` builds a *batched* simulator: ``B``
-    replicas of the same configuration, each driven by its own traffic
-    seed, advanced in lockstep by one vectorized pass per phase per
-    cycle.  :meth:`run_experiment_batch` returns one ``WindowStats``
-    per seed, each byte-identical to a single-seed run of that seed.
+    ``seeds=[s0, s1, ...]`` builds a *batched* simulator: ``B`` lanes
+    of the same configuration, each driven by its own traffic seed —
+    and, with ``rates=[r0, r1, ...]``, its own injection rate (the
+    attached template's rate when omitted) — advanced in lockstep by
+    one vectorized pass per phase per cycle.
+    :meth:`run_experiment_batch` returns one ``WindowStats`` per lane,
+    each byte-identical to a solo run at that lane's seed and rate.
     """
 
     backend = "array"
 
     def __init__(self, config, traffic=None, name="", gated=True,
-                 seeds=None):
+                 seeds=None, rates=None):
         if config.separate_st_lt:
             raise _unsupported("the split ST/LT pipeline (separate_st_lt)")
         if config.routing.name not in _SUPPORTED_ROUTING:
@@ -238,7 +242,14 @@ class ArraySimulator:
             seeds = tuple(int(s) for s in seeds)
             if not seeds:
                 raise ValueError("seeds must name at least one replica seed")
+        if rates is not None:
+            rates = tuple(rates)
+            if seeds is None or len(rates) != len(seeds):
+                raise ValueError(
+                    "rates must give one injection rate per entry of seeds"
+                )
         self.seeds = seeds
+        self.rates = rates
         self.B = 1 if seeds is None else len(seeds)
         self.cfg = config
         self.name = name or ("proposed" if config.bypass else "baseline")
@@ -255,11 +266,19 @@ class ArraySimulator:
         self._watchdog_armed = False
         self._build_static()
         self._build_state()
-        self.network = _ArrayNetwork(self, 0)
-        self._traffic = None
+        #: the rate each lane reports in its WindowStats
+        self._lane_rates = [float("nan")] * self.B
         self._sources_on = False
         if traffic is not None:
             self.attach_traffic(traffic)
+
+    @property
+    def network(self):
+        """Lane 0's stats facade, built per access like
+        :meth:`lane_network`: a stored facade would point back at the
+        simulator, and that cycle keeps a finished simulator's arrays
+        alive until the cyclic collector happens to run."""
+        return _ArrayNetwork(self, 0)
 
     def lane_network(self, lane):
         """The ``network`` stats facade of one replica lane."""
@@ -452,18 +471,21 @@ class ArraySimulator:
         cap = 1024
         self._cap = cap
         self._mcount = 0
-        self.p_dest = z(cap, dtype=np.int64)
-        self.p_ord = z(cap, dtype=np.int64)
-        self.p_gid = z(cap, dtype=np.int64)
-        self.p_nflits = z(cap, dtype=np.int64)
-        self.p_creation = z(cap, dtype=np.int64)
-        self.p_completion = z(cap, dtype=np.int64)
-        self.p_w = np.full(cap, -1, dtype=np.int64)  # valiant waypoint
-        self.p_src = z(cap, dtype=np.int64)  # lane-local source router
-        self.p_mcls = z(cap, dtype=np.int64)
+        # one row per message of every lane, so the dtypes are as
+        # narrow as the values allow (flit words, ``pid << 3``, stay
+        # int64; attach_traffic bounds flits per packet to int8)
+        self.p_dest = z(cap, dtype=np.int32)
+        self.p_ord = z(cap, dtype=np.int8)
+        self.p_gid = z(cap, dtype=np.int8)
+        self.p_nflits = z(cap, dtype=np.int8)
+        self.p_creation = z(cap, dtype=np.int32)
+        self.p_completion = z(cap, dtype=np.int32)
+        self.p_w = np.full(cap, -1, dtype=np.int32)  # valiant waypoint
+        self.p_src = z(cap, dtype=np.int32)  # lane-local source router
+        self.p_mcls = z(cap, dtype=np.int8)
         self.p_mcast = z(cap, dtype=bool)
-        self.p_pending = z(cap, dtype=np.int64)  # deliveries outstanding
-        self.p_lane = z(cap, dtype=np.int64)
+        self.p_pending = z(cap, dtype=np.int32)  # deliveries outstanding
+        self.p_lane = z(cap, dtype=np.int16)
         # activity counters: per input/output port (folded per router
         # lazily); for unicast workloads c_st covers credits_sent ==
         # xbar_in == xbar_out, multicast splits out c_xout
@@ -519,7 +541,8 @@ class ArraySimulator:
 
         On a batched simulator (``seeds=[...]``) the attached source
         acts as the *template*: each lane gets its own clone with the
-        lane's seed (the template's own seed is not used).
+        lane's seed and rate (the template's own seed is not used, its
+        rate only when ``rates`` was omitted).
         """
         mix = getattr(traffic, "mix", None)
         process = getattr(traffic, "process", None)
@@ -545,51 +568,56 @@ class ArraySimulator:
                 )
             if any(c.broadcast and c.num_flits > 1 for c in mix.components):
                 raise _unsupported("multi-flit broadcast packets")
+        if max(c.num_flits for c in mix.components) > 127:
+            raise _unsupported("packets longer than 127 flits")
         self._mc = bc
         lanes = [traffic]
         if self.seeds is not None:
+            rates = self.rates or [traffic.injection_rate] * self.B
             lanes = [
                 type(traffic)(
                     mix,
-                    traffic.injection_rate,
-                    seed=s,
+                    rate,
+                    seed=seed,
                     identical_generators=traffic.identical_generators,
                     pattern=traffic.pattern,
                     process=traffic.process,
                 )
-                for s in self.seeds
+                for seed, rate in zip(self.seeds, rates)
             ]
         for tr in lanes:
             tr.bind(self.cfg)
-        self._traffic = lanes[0]
-        self._packet_rate = lanes[0]._packet_rate
+        self._lane_rates = [tr.injection_rate for tr in lanes]
         R, RT, B = self.R, self.RT, self.B
-        # main traffic streams: the scalar constructor performs the
-        # tested seed diffusion; we lift its register state
-        tstate = np.empty(RT, dtype=np.int64)
-        for b, tr in enumerate(lanes):
-            for node in range(R):
-                node_seed = (tr.seed if tr.identical_generators
-                             else tr.seed + node)
-                tstate[b * R + node] = PRBSGenerator(
-                    order=31, seed=node_seed
-                )._state
-        self.tstate = tstate
-        # modulated injection: lift each node's ChainState
+        nodes = range(R)
+        # per-node injection probability: constant within a lane
+        self._packet_rate = np.repeat(
+            np.array([tr._packet_rate for tr in lanes], dtype=np.float64), R
+        )
+        # main traffic streams: bind built each node's generator (the
+        # tested seed diffusion); lift its register state
+        self.tstate = np.array(
+            [tr._rngs[n]._state for tr in lanes for n in nodes],
+            dtype=np.int64,
+        )
+        # modulated injection: lift each node's ChainState, and each
+        # lane's per-state tables (both are functions of the lane's rate)
         if lanes[0]._steppers is None:
             self.cstate = None
         else:
-            self.cstate = np.empty(RT, dtype=np.int64)
-            self.chstate = np.empty(RT, dtype=np.int64)
-            for b, tr in enumerate(lanes):
-                for node in range(R):
-                    chain = tr._steppers[node]
-                    self.cstate[b * R + node] = chain.chain._state
-                    self.chstate[b * R + node] = chain.state
-            steppers0 = lanes[0]._steppers
-            self.probs_tab = np.array(steppers0[0].probs, dtype=np.float64)
-            self.leave_tab = np.array(steppers0[0].leave, dtype=np.float64)
-            self.n_states = len(self.probs_tab)
+            chains = [tr._steppers[n] for tr in lanes for n in nodes]
+            self.cstate = np.array(
+                [c.chain._state for c in chains], dtype=np.int64
+            )
+            self.chstate = np.array([c.state for c in chains], dtype=np.int64)
+            self.probs_tab = np.array(
+                [tr._steppers[0].probs for tr in lanes], dtype=np.float64
+            )
+            self.leave_tab = np.array(
+                [tr._steppers[0].leave for tr in lanes], dtype=np.float64
+            )
+            self.n_states = self.probs_tab.shape[1]
+            self._node_lane = np.repeat(np.arange(B), R)
         # mix selection: searchsorted over the cumulative weights plus
         # the oracle's fallback component as a trailing entry
         cum = list(mix.cumulative_weights())
@@ -809,12 +837,13 @@ class ArraySimulator:
             # modulated: main word only in positive-rate states, chain
             # word only in states with a positive leave probability
             ch = self.chstate
-            p = self.probs_tab[ch]
+            lane = self._node_lane
+            p = self.probs_tab[lane, ch]
             active = p > 0.0
             word, ns = _word24(tstate)
             np.copyto(tstate, ns, where=active)
             inject = active & (word / 16777216.0 < p)
-            leave = self.leave_tab[ch]
+            leave = self.leave_tab[lane, ch]
             cact = leave > 0.0
             cword, cns = _word24(self.cstate)
             np.copyto(self.cstate, cns, where=cact)
@@ -1892,12 +1921,10 @@ class ArraySimulator:
         self._sources_on = had_sources
         delta_byp = int(self.c_byp.sum()) - start_byp
         delta_xin = int(self.c_st.sum()) - start_xin
-        rate = (self._traffic.injection_rate
-                if self._traffic is not None else float("nan"))
         return summarize_window(
             self.cfg,
             self.name,
-            rate,
+            self._lane_rates[0],
             measure,
             self._message_views(start_msgs, end_msgs),
             end_ej - start_ej,
@@ -1910,9 +1937,9 @@ class ArraySimulator:
                              drain=5_000):
         """One window per replica lane, all lanes stepped in lockstep.
 
-        Lane *k*'s ``WindowStats`` is byte-identical to a single-seed
-        run at ``seeds[k]``: the lanes share no draw streams and no
-        router state, only the python/numpy dispatch overhead.  A
+        Lane *k*'s ``WindowStats`` is byte-identical to a solo run at
+        ``seeds[k]`` and ``rates[k]``: the lanes share no draw streams
+        and no router state, only the python/numpy dispatch overhead.  A
         stalled lane is killed by the per-lane watchdog (reported as
         ``stop_reason="watchdog"``); the drain budget is shared, so a
         lane still busy when it runs out reports ``"max-cycles"``.
@@ -1939,8 +1966,6 @@ class ArraySimulator:
         self._sources_on = had_sources
         delta_byp = self._lane_port_sums(self.c_byp) - start_byp
         delta_xin = self._lane_port_sums(self.c_st) - start_xin
-        rate = (self._traffic.injection_rate
-                if self._traffic is not None else float("nan"))
         out = []
         for b in range(self.B):
             stop = self._lane_stop[b]
@@ -1950,7 +1975,7 @@ class ArraySimulator:
             out.append(summarize_window(
                 self.cfg,
                 self.name,
-                rate,
+                self._lane_rates[b],
                 measure,
                 self._message_views(
                     int(start_msgs[b]), int(end_msgs[b]), lane=b

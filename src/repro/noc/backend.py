@@ -12,8 +12,9 @@ workload it supports.  Two backends ship:
 * ``array`` — the struct-of-arrays numpy kernel of
   :mod:`repro.noc.array_backend`, which executes each DESIGN.md §1
   phase as a vectorized pass over all routers at once — and, given
-  ``seeds=[...]``, over all replica lanes at once (one batched kernel
-  pass simulates N independent seeds).  It supports a documented
+  ``seeds=[...]`` (and optionally ``rates=[...]``), over all lanes at
+  once (one batched kernel pass simulates N independent ``(seed,
+  rate)`` points of one config and mix).  It supports a documented
   subset of the workload space (unicast and XY-tree multicast mixes on
   xy/yx/o1turn/valiant routing, any pattern and injection process) and
   *rejects* everything else — ``separate_st_lt``, faults, probes —

@@ -63,7 +63,7 @@ class Simulator:
     """
 
     def __new__(cls, config=None, traffic=None, name="", gated=True,
-                backend="object", seeds=None):
+                backend="object", seeds=None, rates=None):
         if cls is Simulator and backend != "object":
             from repro.noc.backend import resolve_backend
 
@@ -71,17 +71,17 @@ class Simulator:
             # the factory's product is not a Simulator subclass, so
             # Python skips Simulator.__init__ on the returned instance
             return factory(config, traffic=traffic, name=name, gated=gated,
-                           seeds=seeds)
+                           seeds=seeds, rates=rates)
         return super().__new__(cls)
 
     #: registry name of this backend (DESIGN.md §9)
     backend = "object"
 
     def __init__(self, config, traffic=None, name="", gated=True,
-                 backend="object", seeds=None):
-        if seeds is not None:
+                 backend="object", seeds=None, rates=None):
+        if seeds is not None or rates is not None:
             raise ValueError(
-                "multi-seed batching (seeds=[...]) requires "
+                "lane batching (seeds=[...], rates=[...]) requires "
                 "backend='array'; the object loop runs one replica per "
                 "Simulator"
             )

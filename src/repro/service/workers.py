@@ -85,6 +85,11 @@ class SweepStore:
 class WorkerPool:
     """Daemon threads draining queued jobs through the engine.
 
+    A worker takes the job it dequeued *plus whatever else is queued at
+    that instant* and hands them to one ``Executor.run``, so a posted
+    rate grid reaches the array kernel as one lane group instead of one
+    dispatch-bound run per job (DESIGN.md §10).
+
     ``executor``/``backend``/``exec_workers`` mirror the CLI's
     ``--executor``/``--backend``/``--workers`` axes: each thread builds
     ``Executor(backend=executor, workers=exec_workers, cache=...)`` at
@@ -149,7 +154,7 @@ class WorkerPool:
         self._queue.put(record)
 
     def stop(self, timeout=10.0):
-        """Drain-free shutdown: workers exit after their current job."""
+        """Drain-free shutdown: workers exit after their current batch."""
         for _ in self._threads:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
@@ -163,31 +168,64 @@ class WorkerPool:
         cache = ResultCache(self.cache_root)
         executor = self._factory(cache)
         while True:
+            # the record we waited for plus whatever else is queued right
+            # now: the executor folds array jobs that differ by seed and
+            # rate into one kernel run
+            batch = []
             record = self._queue.get()
+            while record is not _SENTINEL:
+                batch.append(record)
+                try:
+                    record = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            if batch:
+                self._run_contained(executor, batch)
             if record is _SENTINEL:
                 return
-            try:
-                self._run(executor, record)
-            except Exception as exc:  # a worker must never die silently
-                logger.exception(
-                    "sweep worker failed on %s", record.key[:12]
-                )
-                self.store.mark(record, FAILED, error=f"{type(exc).__name__}: {exc}")
 
-    def _run(self, executor, record):
-        self.store.mark(record, RUNNING)
-        spec = record.spec
-        if spec.backend == "object" and self.backend != "object":
-            # run on the pool's configured kernel; identity unchanged
-            spec = replace(spec, backend=self.backend)
+    def _run_contained(self, executor, batch):
+        """Run ``batch``; an exception escaping it (not a structured
+        ``JobFailure``) re-runs its jobs one by one, so only the job
+        that raises fails and the worker lives on."""
+        try:
+            self._run(executor, batch)
+        except Exception as exc:  # a worker must never die silently
+            if len(batch) > 1:
+                logger.exception(
+                    "sweep worker failed on a batch of %d jobs; running "
+                    "them one by one", len(batch),
+                )
+                for record in batch:
+                    self._run_contained(executor, [record])
+                return
+            (record,) = batch
+            logger.exception("sweep worker failed on %s", record.key[:12])
+            self.store.mark(
+                record, FAILED, error=f"{type(exc).__name__}: {exc}"
+            )
+
+    def _run(self, executor, batch):
+        """One ``executor.run`` over ``batch``; each record ends ``done``
+        or, on a structured ``JobFailure``, ``failed`` on its own."""
+        specs = []
+        for record in batch:
+            self.store.mark(record, RUNNING)
+            spec = record.spec
+            if spec.backend == "object" and self.backend != "object":
+                # run on the pool's configured kernel; identity unchanged
+                spec = replace(spec, backend=self.backend)
+            specs.append(spec)
         before = executor.executed
-        stats = executor.run_one(spec)
+        results = executor.run(specs)
         with self._lock:
             self._executed += executor.executed - before
-        if stats.stop_reason == "failed":
-            failures = (executor.last_batch or {}).get("failures", [])
-            error = failures[0]["error"] if failures else "job failed"
-            self.store.mark(record, FAILED, error=error)
-            logger.warning("job %s failed: %s", record.key[:12], error)
-        else:
-            self.store.mark(record, DONE)
+        # failure records come in job order, one per failed result
+        failures = iter((executor.last_batch or {}).get("failures", []))
+        for record, stats in zip(batch, results):
+            if stats.stop_reason == "failed":
+                error = next(failures, {}).get("error", "job failed")
+                self.store.mark(record, FAILED, error=error)
+                logger.warning("job %s failed: %s", record.key[:12], error)
+            else:
+                self.store.mark(record, DONE)

@@ -38,9 +38,12 @@ class PRBSGenerator:
         self._state = seed
         # Diffuse the seed through the register: freshly seeded states
         # with few set bits would otherwise emit long runs of zeros,
-        # which biases next_uniform() toward zero.
-        for _ in range(4 * order):
-            self.next_bit()
+        # which biases next_uniform() toward zero.  4*order shifts, taken
+        # as next_word jumps no wider than the youngest tap (the fast
+        # path's bit-exact range) instead of one Python call per bit.
+        jump = min(self._taps)
+        for done in range(0, 4 * order, jump):
+            self.next_word(min(jump, 4 * order - done))
 
     def next_bit(self):
         """Advance one shift and return the output (feedback) bit."""

@@ -114,6 +114,8 @@ class TestTriStateRSD:
             TriStateRSD(1.0, swing_v=0.5)  # above LVDD = 0.4
         with pytest.raises(ValueError):
             TriStateRSD(1.0, swing_v=0.0)
+        # a full-rail swing is Fig. 10's last grid point
+        assert TriStateRSD(1.0).with_swing(0.4).swing_v == 0.4
 
     def test_with_swing_preserves_geometry(self):
         base = TriStateRSD(1.0)

@@ -292,13 +292,14 @@ class TestBackendIsNotAnIdentityAxis:
 
 
 class TestBatchingIsNotAnIdentityAxis:
-    """A batched multi-seed run is an *execution* detail like the
-    backend: it fans in to N ordinary per-seed cache entries whose
-    content addresses — and bytes — are identical to N single-seed
-    runs.  JobSpec has no seeds/batch field at all, so no encoding can
-    ever grow one."""
+    """A batched run — lanes that differ by seed, by rate, or both — is
+    an *execution* detail like the backend: it fans in to N ordinary
+    single-job cache entries whose content addresses — and bytes — are
+    identical to N solo runs.  JobSpec has no seeds/rates/batch field
+    at all, so no encoding can ever grow one."""
 
-    def _replicas(self, n=3):
+    def _lanes(self):
+        """Two replicas at each of three rates: one lane group."""
         from dataclasses import replace
         from repro.traffic.mix import UNIFORM_UNICAST
 
@@ -311,18 +312,25 @@ class TestBatchingIsNotAnIdentityAxis:
             drain=200,
             backend="array",
         )
-        return [replace(base, seed=7 + 100_003 * i) for i in range(n)]
+        return [
+            replace(base, rate=rate, seed=7 + 100_003 * i)
+            for rate in (0.04, 0.1, 0.22)
+            for i in range(2)
+        ]
 
-    def test_batched_run_fans_into_per_seed_cache_entries(self, tmp_path):
+    def test_batched_run_fans_into_per_job_cache_entries(self, tmp_path):
         from repro.engine.cache import ResultCache
         from repro.engine.executor import Executor
 
-        jobs = self._replicas()
+        jobs = self._lanes()
         cache = ResultCache(tmp_path / "cache")
         ex = Executor(cache=cache)
         batched = ex.run(jobs)
         assert ex.executed == len(jobs)
-        # one ordinary entry per seed, each hit by a later single run
+        # one ordinary entry per (seed, rate), under the address the
+        # solo job hashes to, each hit by a later single run
+        assert sorted(p.stem for p in (tmp_path / "cache").glob("*.json")) \
+            == sorted(job.cache_key for job in jobs)
         for job, stats in zip(jobs, batched):
             assert cache.get(job).to_dict() == stats.to_dict()
         again = Executor(cache=cache).run(jobs)
@@ -330,19 +338,23 @@ class TestBatchingIsNotAnIdentityAxis:
             s.to_dict() for s in batched
         ]
 
-    def test_batched_results_are_byte_identical_to_single_runs(self):
-        jobs = self._replicas()
+    def test_batched_entries_are_byte_identical_to_solo_entries(
+        self, tmp_path
+    ):
+        from repro.engine.cache import ResultCache
         from repro.engine.executor import Executor
 
-        batched = Executor().run(jobs)
-        singles = [job.run() for job in jobs]
-        assert [json.dumps(s.to_dict(), sort_keys=True) for s in batched] \
-            == [json.dumps(s.to_dict(), sort_keys=True) for s in singles]
+        jobs = self._lanes()
+        Executor(cache=ResultCache(tmp_path / "batched")).run(jobs)
+        for job in jobs:  # one job per batch: never grouped
+            Executor(cache=ResultCache(tmp_path / "solo")).run([job])
+        for job in jobs:
+            name = f"{job.cache_key}.json"
+            assert (tmp_path / "batched" / name).read_bytes() \
+                == (tmp_path / "solo" / name).read_bytes()
 
-    def test_run_batch_matches_per_seed_run(self):
-        from dataclasses import replace
-
-        jobs = self._replicas(2)
-        lanes = jobs[0].run_batch([j.seed for j in jobs])
+    def test_run_batch_matches_per_lane_run(self):
+        jobs = self._lanes()[1:4]
+        lanes = jobs[0].run_batch([(j.seed, j.rate) for j in jobs])
         for job, lane in zip(jobs, lanes):
-            assert lane.to_dict() == replace(job, seed=job.seed).run().to_dict()
+            assert lane.to_dict() == job.run().to_dict()

@@ -195,6 +195,20 @@ def test_domain_errors_exit_cleanly(capsys):
     assert "worker count" in capsys.readouterr().err
 
 
+def test_dead_seeds_are_domain_errors(capsys):
+    for seed in ("0", str(2**31 - 3)):
+        assert main(["sweep", "--rates", "0.02", "--seed", seed,
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err and "seed must be within" in err
+
+
+def test_figure_fig10_default_grid(capsys):
+    # the default grid ends at 400 mV, the LVDD rail itself
+    captured = run_cli(capsys, "figure", "fig10")
+    assert "swing_mv" in captured.out and "400" in captured.out
+
+
 def test_serve_parser_wiring():
     # the serve subcommand parses its engine axes without needing (or
     # importing) flask; actually running the server is exercised by

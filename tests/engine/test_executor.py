@@ -8,10 +8,14 @@ import pytest
 
 from repro.core.presets import proposed_network
 from repro.engine import Executor, JobFailure, JobSpec, ResultCache, make_backend
-from repro.engine.executor import ProcessPoolBackend, SerialBackend
+from repro.engine.executor import (
+    MAX_LANE_ROUTERS,
+    ProcessPoolBackend,
+    SerialBackend,
+)
 from repro.harness import experiments as exp
 from repro.harness.sweep import run_sweep, run_sweep_batch
-from repro.traffic.mix import MIXED_TRAFFIC
+from repro.traffic.mix import MIXED_TRAFFIC, UNIFORM_UNICAST
 
 FAST = dict(warmup=100, measure=300, drain=400)
 
@@ -266,6 +270,93 @@ class TestCaching:
         ex.run(make_jobs([0.02]))
         ex.run(make_jobs([0.02]))
         assert ex.executed == 2 and ex.cache_hits == 0
+
+
+class TestLaneGrouping:
+    """Which cache misses the serial Executor folds into one batched
+    array-kernel run (the grouping rule of ``_run_pending``).  The
+    kernel itself is stubbed out: these tests are about who shares a
+    dispatch, the byte-identity suites are about what comes back."""
+
+    @pytest.fixture
+    def dispatches(self, monkeypatch):
+        """Every kernel dispatch as the list of ``(seed, rate)`` lanes
+        it carried (a solo ``run`` is a one-lane dispatch)."""
+        stats = make_jobs([0.02])[0].run()
+        calls = []
+
+        def run(job):
+            calls.append([(job.seed, job.rate)])
+            return stats
+
+        def run_batch(job, lanes):
+            calls.append(list(lanes))
+            return [stats] * len(lanes)
+
+        monkeypatch.setattr(JobSpec, "run", run)
+        monkeypatch.setattr(JobSpec, "run_batch", run_batch)
+        return calls
+
+    @staticmethod
+    def grid(rates=(0.02, 0.05, 0.08), seeds=(7, 8), **overrides):
+        kwargs = dict(config=proposed_network(), mix=UNIFORM_UNICAST,
+                      backend="array", **FAST)
+        kwargs.update(overrides)
+        return [
+            JobSpec(rate=r, seed=s, **kwargs) for r in rates for s in seeds
+        ]
+
+    def test_a_rate_by_seed_grid_is_one_dispatch(self, dispatches):
+        jobs = self.grid()
+        Executor().run(jobs)
+        assert dispatches == [[(j.seed, j.rate) for j in jobs]]
+
+    @pytest.mark.parametrize("other", [
+        dict(measure=301),
+        dict(mix=MIXED_TRAFFIC),
+        dict(config=proposed_network(k=8)),
+        dict(name="other"),
+    ])
+    def test_anything_but_seed_and_rate_splits_the_group(
+        self, dispatches, other
+    ):
+        Executor().run(self.grid() + self.grid(**other))
+        assert [len(lanes) for lanes in dispatches] == [6, 6]
+
+    def test_groups_are_chunked_at_the_lane_router_constant(
+        self, dispatches
+    ):
+        # 16 routers per 4x4 lane, 8x8 lanes carry 64
+        per_dispatch = MAX_LANE_ROUTERS // 16
+        rates = [i / 1000 for i in range(per_dispatch + 1)]
+        Executor().run(self.grid(rates=rates, seeds=(7,)))
+        assert [len(lanes) for lanes in dispatches] == [1, per_dispatch]
+        dispatches.clear()
+        Executor().run(
+            self.grid(rates=rates[:17], seeds=(7,),
+                      config=proposed_network(k=8))
+        )
+        assert [len(lanes) for lanes in dispatches] \
+            == [1, MAX_LANE_ROUTERS // 64]
+
+    def test_object_and_fault_jobs_are_never_grouped(self, dispatches):
+        from repro.noc.faults import make_fault
+
+        jobs = self.grid(backend="object") + self.grid(
+            faults=make_fault("biterror")
+        )
+        Executor().run(jobs)
+        assert [len(lanes) for lanes in dispatches] == [1] * len(jobs)
+
+    def test_process_pools_ship_single_jobs(self, dispatches):
+        class Pool:
+            name = "process"
+
+            def run(self, jobs):
+                return [job.run() for job in jobs]
+
+        Executor(backend=Pool()).run(self.grid())
+        assert [len(lanes) for lanes in dispatches] == [1] * 6
 
 
 class TestSweepIntegration:

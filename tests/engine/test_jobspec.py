@@ -42,6 +42,19 @@ class TestValueSemantics:
         with pytest.raises(ValueError):
             make_job(measure=-1)
 
+    def test_rejects_seeds_no_generator_can_start_from(self):
+        # node n's PRBS-31 register starts at seed + n: zero and
+        # anything that reaches 2**31 used to die at bind instead
+        nodes = make_job().config.num_nodes
+        top = (1 << 31) - nodes
+        for seed in (0, -3, top + 1, 1 << 31):
+            with pytest.raises(ValueError, match="seed must be within"):
+                make_job(seed=seed)
+        for seed in (1, top):
+            assert make_job(seed=seed).run().stop_reason == "completed"
+        # identical generators all start at the seed itself
+        make_job(seed=(1 << 31) - 1, identical_generators=True)
+
 
 class TestSerialization:
     def test_round_trip_preserves_identity(self):

@@ -12,7 +12,9 @@ the *rejection* surface: everything outside the support matrix must
 raise a clear ValueError instead of silently diverging.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -81,21 +83,23 @@ def _observables(stats, network):
     )
 
 
-def run_backend(backend, **kwargs):
+def run_backend(backend, windows=FAST, **kwargs):
     """One experiment window; returns (stats bytes, router counters,
     NIC counters) so comparisons cover every observable surface."""
     cfg, traffic = _point(**kwargs)
     sim = Simulator(cfg, traffic=traffic, backend=backend)
-    stats = sim.run_experiment(**FAST)
+    stats = sim.run_experiment(**windows)
     return _observables(stats, sim.network)
 
 
-def run_batched(seeds, **kwargs):
-    """One batched multi-seed window; returns the per-lane observable
-    triples, in seed order."""
+def run_batched(seeds, rates=None, windows=FAST, **kwargs):
+    """One batched window, lane k at ``(seeds[k], rates[k])`` (the
+    template's rate without ``rates``); returns the per-lane observable
+    triples, in lane order."""
     cfg, traffic = _point(**kwargs)
-    sim = Simulator(cfg, traffic=traffic, backend="array", seeds=seeds)
-    stats = sim.run_experiment_batch(**FAST)
+    sim = Simulator(cfg, traffic=traffic, backend="array", seeds=seeds,
+                    rates=rates)
+    stats = sim.run_experiment_batch(**windows)
     return [
         _observables(st, sim.lane_network(b)) for b, st in enumerate(stats)
     ]
@@ -138,32 +142,65 @@ class TestMulticastEquivalence:
 
 
 class TestBatchedLanes:
-    """The batch axis: lane *k* of ``seeds=[...]`` must be
-    byte-identical — WindowStats JSON, per-router counters, per-NIC
-    counters — to a single-seed array run (and, transitively through
-    the equivalence matrix above, to the object oracle)."""
+    """The batch axis: a lane is a ``(seed, rate)`` pair, and lane *k*
+    must be byte-identical — WindowStats JSON, per-router counters,
+    per-NIC counters — to the solo array run at ``(seeds[k],
+    rates[k])`` (and, transitively through the equivalence matrix
+    above, to the object oracle)."""
 
-    SEEDS = [3, 101]
+    SEEDS = [3, 101, 7]
+    RATES = [0.05, 0.2, 0.12]
 
-    @pytest.mark.parametrize("injection", ["bernoulli", "onoff"])
+    def assert_lanes_match_solo(self, backend="array", **kwargs):
+        lanes = run_batched(self.SEEDS, self.RATES, **kwargs)
+        for seed, rate, lane in zip(self.SEEDS, self.RATES, lanes):
+            assert lane == run_backend(
+                backend, seed=seed, rate=rate, **kwargs
+            )
+
+    @pytest.mark.parametrize("injection", ["bernoulli", "onoff", "mmp"])
     @pytest.mark.parametrize("routing", ["xy", "o1turn", "valiant"])
     @pytest.mark.parametrize("pattern", ["uniform", "transpose"])
-    def test_lanes_match_single_seed_runs(self, injection, routing, pattern):
-        kwargs = dict(routing=routing, pattern=pattern, injection=injection)
-        lanes = run_batched(self.SEEDS, **kwargs)
-        for seed, lane in zip(self.SEEDS, lanes):
-            assert lane == run_backend("array", seed=seed, **kwargs)
+    def test_lanes_match_solo_runs(self, injection, routing, pattern):
+        self.assert_lanes_match_solo(
+            routing=routing, pattern=pattern, injection=injection
+        )
 
-    def test_multicast_lanes_match_single_seed_runs(self):
-        kwargs = dict(mix=MIXED_TRAFFIC, rate=0.05)
-        lanes = run_batched(self.SEEDS, **kwargs)
+    def test_modulated_lanes_use_their_own_rate_tables(self):
+        # on-off keeps the ON rate and moves the OFF->ON probability
+        # with the mean rate: a kernel that shares lane 0's leave table
+        # gives every lane lane 0's load
+        lanes = run_batched([11, 11], [0.04, 0.3], injection="onoff")
+        for rate, lane in zip([0.04, 0.3], lanes):
+            assert lane == run_backend(
+                "array", seed=11, rate=rate, injection="onoff"
+            )
+        assert lanes[0] != lanes[1]
+
+    def test_rates_default_to_the_templates(self):
+        lanes = run_batched(self.SEEDS, rate=0.09)
         for seed, lane in zip(self.SEEDS, lanes):
-            assert lane == run_backend("array", seed=seed, **kwargs)
+            assert lane == run_backend("array", seed=seed, rate=0.09)
+
+    def test_multicast_lanes_match_solo_runs(self):
+        self.assert_lanes_match_solo(mix=MIXED_TRAFFIC)
 
     def test_lanes_match_the_object_oracle(self):
-        lanes = run_batched([11, 42], routing="valiant")
-        for seed, lane in zip([11, 42], lanes):
-            assert lane == run_backend("object", seed=seed, routing="valiant")
+        self.assert_lanes_match_solo("object", routing="valiant")
+
+    def test_saturated_lane_beside_an_idle_one(self):
+        # the drain budget is shared: the swamped lane exhausts it and
+        # reports max-cycles, the idle lane went quiet long before and
+        # must not notice
+        windows = dict(warmup=50, measure=200, drain=40)
+        seeds, rates = [5, 9], [0.0, 0.9]
+        lanes = run_batched(seeds, rates, windows=windows)
+        assert [json.loads(lane[0])["stop_reason"] for lane in lanes] \
+            == ["completed", "max-cycles"]
+        for seed, rate, lane in zip(seeds, rates, lanes):
+            assert lane == run_backend(
+                "array", windows=windows, seed=seed, rate=rate
+            )
 
     def test_template_seed_is_ignored(self):
         cfg, traffic = _point(seed=999)
@@ -183,6 +220,32 @@ class TestBatchedLanes:
     def test_object_backend_rejects_seeds(self):
         with pytest.raises(ValueError, match="backend='array'"):
             Simulator(NocConfig(k=4), seeds=[3, 11])
+
+    @pytest.mark.parametrize("seeds", [None, [3], [3, 11, 42]])
+    def test_rates_must_pair_with_seeds(self, seeds):
+        with pytest.raises(ValueError, match="one injection rate per"):
+            Simulator(NocConfig(k=4), backend="array", seeds=seeds,
+                      rates=[0.1, 0.2])
+
+
+class TestSimulatorLifetime:
+    def test_a_finished_simulator_is_freed_without_the_cyclic_gc(self):
+        # a batched simulator holds tens of MB of arrays; a reference
+        # cycle through the network facade used to keep every finished
+        # one alive until the collector happened to run
+        gc.collect()
+        gc.disable()
+        try:
+            cfg, traffic = _point()
+            sim = Simulator(cfg, traffic=traffic, backend="array",
+                            seeds=[3, 11])
+            sim.run_experiment_batch(warmup=5, measure=20, drain=50)
+            assert sim.network.cycles > 0
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEquivalenceEdges:
@@ -287,6 +350,18 @@ class TestSupportMatrixRejections:
         sim = Simulator(NocConfig(k=4), backend="array")
         with pytest.raises(ValueError, match="fault"):
             sim.attach_faults(BitErrorFaults(rate=0.01), seed=7)
+
+    def test_packets_too_long_for_the_int8_table_rejected(self):
+        mix = TrafficMix(
+            "jumbo",
+            (TrafficComponent("body", 1.0, MessageClass.RESPONSE, 128,
+                              broadcast=False),),
+        )
+        with pytest.raises(ValueError, match="127 flits"):
+            Simulator(
+                NocConfig(k=4), backend="array",
+                traffic=SyntheticTraffic(mix, 0.1, seed=3),
+            )
 
     def test_scripted_burst_source_rejected(self):
         sim = Simulator(NocConfig(k=4), backend="array")

@@ -16,8 +16,10 @@ flask = pytest.importorskip("flask")
 from repro.core.presets import proposed_network
 from repro.engine import cli
 from repro.engine.cache import ResultCache
+from repro.engine.executor import Executor
 from repro.engine.jobspec import JobSpec
 from repro.service.app import create_app
+from repro.service.workers import JobRecord, SweepStore, WorkerPool
 from repro.traffic.mix import MIXED_TRAFFIC
 
 #: tiny but non-degenerate measurement window, matching the CLI flags
@@ -177,6 +179,16 @@ class TestValidationAndErrors:
         assert response.status_code == 400
         assert "jobs[1]" in response.get_json()["error"]
 
+    def test_dead_seed_is_a_400_not_a_failed_job(self, service):
+        client, _ = service
+        good = make_spec(0.02).to_dict()
+        response = client.post(
+            "/sweeps", json={"jobs": [good, dict(good, seed=0)]}
+        )
+        assert response.status_code == 400
+        error = response.get_json()["error"]
+        assert "jobs[1]" in error and "seed must be within" in error
+
     def test_unknown_sweep_is_a_404(self, service):
         client, _ = service
         assert client.get("/sweeps/sweep-999").status_code == 404
@@ -198,19 +210,19 @@ class _FailingExecutor:
         self.executed = 0
         self.last_batch = None
 
-    def run_one(self, job):
-        self.executed += 1
-        self.last_batch = {"failures": [{"error": "kaboom"}]}
-        return SimpleNamespace(stop_reason="failed")
+    def run(self, jobs):
+        self.executed += len(jobs)
+        self.last_batch = {"failures": [{"error": "kaboom"} for _ in jobs]}
+        return [SimpleNamespace(stop_reason="failed") for _ in jobs]
 
 
 class _ExplodingExecutor:
-    """Stands in for Executor: run_one raises instead of returning."""
+    """Stands in for Executor: run raises instead of returning."""
 
     executed = 0
     last_batch = None
 
-    def run_one(self, job):
+    def run(self, jobs):
         raise RuntimeError("worker blew up")
 
 
@@ -253,6 +265,99 @@ class TestFailureHandling:
             assert client.get("/healthz").get_json()["status"] == "ok"
         finally:
             app.extensions["repro"].shutdown()
+
+
+class _RecordingExecutor(Executor):
+    """The real engine, remembering the size of every batch it was
+    handed; jobs at ``poison`` rates misbehave the way ``mode`` says."""
+
+    def __init__(self, cache, batches, poison=(), mode=None):
+        super().__init__(cache=cache)
+        self.batches = batches
+        self.poison = poison
+        self.mode = mode
+
+    def run(self, jobs):
+        self.batches.append(len(jobs))
+        bad = [job for job in jobs if job.rate in self.poison]
+        if bad and self.mode == "raise":
+            raise RuntimeError(f"cannot run rate {bad[0].rate}")
+        if bad and self.mode == "fail":
+            # a structured JobFailure: unknown backends are contained
+            jobs = [
+                _with_backend(job, "fpga") if job in bad else job
+                for job in jobs
+            ]
+        return super().run(jobs)
+
+
+def _with_backend(job, backend):
+    object.__setattr__(job, "backend", backend)  # skips validation
+    return job
+
+
+class TestWorkerDrain:
+    """A worker takes everything queued when it wakes and hands it to
+    one ``Executor.run`` (DESIGN.md §10), keeping the per-job
+    contract."""
+
+    RATES = (0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16)
+
+    def drain(self, tmp_path, **executor_kwargs):
+        """Queue one job per rate *before* the single worker starts;
+        returns ``(records, batch sizes)`` once the pool has stopped."""
+        batches = []
+        store = SweepStore()
+        pool = WorkerPool(
+            tmp_path / "cache", store, workers=1, backend="array",
+            executor_factory=lambda cache: _RecordingExecutor(
+                cache, batches, **executor_kwargs
+            ),
+        )
+        records = [JobRecord(make_spec(r), "queued") for r in self.RATES]
+        for record in records:
+            pool.submit(record)
+        pool.start()
+        pool.stop(timeout=60.0)  # the sentinel queues behind the jobs
+        assert not any(t.is_alive() for t in pool._threads)
+        return records, batches, pool
+
+    def test_queued_jobs_reach_the_executor_as_one_batch(self, tmp_path):
+        records, batches, pool = self.drain(tmp_path)
+        assert batches == [len(self.RATES)]
+        assert [r.status for r in records] == ["done"] * len(self.RATES)
+        assert pool.executed == len(self.RATES)
+        cache = ResultCache(tmp_path / "cache")
+        for record in records:  # under the ordinary content addresses
+            solo = record.spec.run()
+            assert cache.get(record.spec).to_dict() == solo.to_dict()
+
+    def test_a_structured_failure_fails_that_job_alone(self, tmp_path):
+        records, batches, _ = self.drain(
+            tmp_path, poison=(0.06,), mode="fail"
+        )
+        assert batches == [len(self.RATES)]
+        for record in records:
+            if record.spec.rate == 0.06:
+                assert record.status == "failed"
+                assert "fpga" in record.error
+            else:
+                assert record.status == "done" and record.error is None
+
+    def test_an_exception_out_of_the_batch_falls_back_to_one_by_one(
+        self, tmp_path
+    ):
+        records, batches, _ = self.drain(
+            tmp_path, poison=(0.06,), mode="raise"
+        )
+        # the whole batch once, then each of its jobs alone
+        assert batches == [len(self.RATES)] + [1] * len(self.RATES)
+        for record in records:
+            if record.spec.rate == 0.06:
+                assert record.status == "failed"
+                assert "RuntimeError" in record.error
+            else:
+                assert record.status == "done"
 
 
 class TestIntrospection:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.traffic.prbs import PRBSGenerator, transition_density
+from repro.traffic.prbs import _TAPS, PRBSGenerator, transition_density
 
 
 class TestLFSR:
@@ -54,6 +54,19 @@ class TestLFSR:
 
     def test_period_property(self):
         assert PRBSGenerator(order=7).period == 127
+
+    @pytest.mark.parametrize("order", sorted(_TAPS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_seed_diffusion_matches_the_bit_loop(self, order, data):
+        # the constructor diffuses with next_word jumps; the reference
+        # is the 4*order single-bit shifts it replaced
+        seed = data.draw(st.integers(1, (1 << order) - 1))
+        reference = PRBSGenerator(order=order, seed=1)
+        reference._state = seed
+        for _ in range(4 * order):
+            reference.next_bit()
+        assert PRBSGenerator(order=order, seed=seed)._state == reference._state
 
 
 class TestDraws:
