@@ -31,11 +31,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # numpy is a real runtime dependency: circuits/eye.py and
-    # circuits/sense_amp.py import it at module top level, and the
-    # array simulation backend (repro.noc.array_backend) is built on
-    # it.  It was previously undeclared and only present via
-    # transitive installs — see the packaging note in README.md.
+    # numpy is a real runtime dependency: the circuit models
+    # (circuits/eye.py, circuits/sense_amp.py — fig10/fig12) and the
+    # array simulation backend (repro.noc.array_backend) are built on
+    # it.  It loads only when one of those is used (DESIGN.md §2), but
+    # it stays declared — see the packaging note in README.md.
     install_requires=["numpy"],
     extras_require={
         # the HTTP sweep service (repro.service, `repro serve`); the

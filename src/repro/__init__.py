@@ -27,26 +27,24 @@ Package map:
 - :mod:`repro.harness` — experiment drivers regenerating each table/figure
 """
 
-from repro.core.presets import (
-    baseline_network,
-    proposed_network,
-    strawman_network,
-    textbook_network,
-)
-from repro.engine import Executor, JobSpec, ResultCache
-from repro.noc import NocConfig, Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Executor",
-    "JobSpec",
-    "NocConfig",
-    "ResultCache",
-    "Simulator",
-    "__version__",
-    "baseline_network",
-    "proposed_network",
-    "strawman_network",
-    "textbook_network",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.presets": (
+            "baseline_network",
+            "proposed_network",
+            "strawman_network",
+            "textbook_network",
+        ),
+        "repro.engine.cache": ("ResultCache",),
+        "repro.engine.executor": ("Executor",),
+        "repro.engine.jobspec": ("JobSpec",),
+        "repro.noc.config": ("NocConfig",),
+        "repro.noc.simulator": ("Simulator",),
+    },
+)
+__all__.append("__version__")

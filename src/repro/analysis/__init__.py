@@ -1,69 +1,46 @@
 """Closed-form analysis — theoretical mesh limits, chip comparisons —
 plus the simulation-backed reliability exhibit."""
 
-from repro.analysis.burstiness import (
-    burstiness_timescale,
-    dispersion_index,
-    expected_onset_rate,
-    mean_rate,
-    peak_rate,
-    rate_cv2,
-    saturation_shift,
-    stationary_distribution,
-    state_flit_rates,
-)
-from repro.analysis.limits import MeshLimits
-from repro.analysis.pattern_limits import (
-    channel_load_map,
-    max_channel_load,
-    max_ejection_indegree,
-    pattern_saturation_rate,
-)
-from repro.analysis.prototypes import (
-    PROTOTYPES,
-    ChipPrototype,
-    prototype_comparison,
-)
-from repro.analysis.reliability import (
-    reliability_figure,
-    reliability_vs_faults,
-    reliability_vs_swing,
-)
-from repro.analysis.replicas import (
-    REPLICA_SEED_STRIDE,
-    aggregate_replicas,
-    replica_seeds,
-    t_critical_95,
-)
-from repro.analysis.saturation import find_saturation, saturation_throughput
-from repro.analysis.zero_load import zero_load_latency
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChipPrototype",
-    "MeshLimits",
-    "PROTOTYPES",
-    "REPLICA_SEED_STRIDE",
-    "aggregate_replicas",
-    "burstiness_timescale",
-    "channel_load_map",
-    "dispersion_index",
-    "expected_onset_rate",
-    "find_saturation",
-    "max_channel_load",
-    "max_ejection_indegree",
-    "mean_rate",
-    "pattern_saturation_rate",
-    "peak_rate",
-    "prototype_comparison",
-    "rate_cv2",
-    "reliability_figure",
-    "reliability_vs_faults",
-    "reliability_vs_swing",
-    "replica_seeds",
-    "saturation_shift",
-    "saturation_throughput",
-    "state_flit_rates",
-    "stationary_distribution",
-    "t_critical_95",
-    "zero_load_latency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.burstiness": (
+            "burstiness_timescale",
+            "dispersion_index",
+            "expected_onset_rate",
+            "mean_rate",
+            "peak_rate",
+            "rate_cv2",
+            "saturation_shift",
+            "stationary_distribution",
+            "state_flit_rates",
+        ),
+        "repro.analysis.limits": ("MeshLimits",),
+        "repro.analysis.pattern_limits": (
+            "channel_load_map",
+            "max_channel_load",
+            "max_ejection_indegree",
+            "pattern_saturation_rate",
+        ),
+        "repro.analysis.prototypes": (
+            "PROTOTYPES",
+            "ChipPrototype",
+            "prototype_comparison",
+        ),
+        "repro.analysis.reliability": (
+            "reliability_figure",
+            "reliability_vs_faults",
+            "reliability_vs_swing",
+        ),
+        "repro.analysis.replicas": (
+            "REPLICA_SEED_STRIDE",
+            "aggregate_replicas",
+            "replica_seeds",
+            "t_critical_95",
+        ),
+        "repro.analysis.saturation": ("find_saturation", "saturation_throughput"),
+        "repro.analysis.zero_load": ("zero_load_latency",),
+    },
+)

@@ -1,22 +1,16 @@
 """Circuit-level models of the chip's datapath (Sections 3.4, 4.3, App. C)."""
 
-from repro.circuits.crossbar import FullSwingCrossbar, LowSwingCrossbar
-from repro.circuits.eye import eye_margin, repeated_vs_direct
-from repro.circuits.repeater import FullSwingRepeatedLink
-from repro.circuits.rsd import TriStateRSD
-from repro.circuits.sense_amp import SenseAmplifier
-from repro.circuits.technology import Technology, TECH_45NM_SOI
-from repro.circuits.wire import Wire
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FullSwingCrossbar",
-    "FullSwingRepeatedLink",
-    "LowSwingCrossbar",
-    "SenseAmplifier",
-    "TECH_45NM_SOI",
-    "Technology",
-    "TriStateRSD",
-    "Wire",
-    "eye_margin",
-    "repeated_vs_direct",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.circuits.crossbar": ("FullSwingCrossbar", "LowSwingCrossbar"),
+        "repro.circuits.eye": ("eye_margin", "repeated_vs_direct"),
+        "repro.circuits.repeater": ("FullSwingRepeatedLink",),
+        "repro.circuits.rsd": ("TriStateRSD",),
+        "repro.circuits.sense_amp": ("SenseAmplifier",),
+        "repro.circuits.technology": ("Technology", "TECH_45NM_SOI"),
+        "repro.circuits.wire": ("Wire",),
+    },
+)

@@ -5,18 +5,17 @@ The microarchitectural mechanisms live in the simulator substrate
 the paper evaluates and re-exports the bypassing primitives.
 """
 
-from repro.core.presets import (
-    baseline_network,
-    proposed_network,
-    strawman_network,
-    textbook_network,
-)
-from repro.noc.lookahead import Lookahead
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Lookahead",
-    "baseline_network",
-    "proposed_network",
-    "strawman_network",
-    "textbook_network",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.presets": (
+            "baseline_network",
+            "proposed_network",
+            "strawman_network",
+            "textbook_network",
+        ),
+        "repro.noc.lookahead": ("Lookahead",),
+    },
+)

@@ -15,36 +15,26 @@ Layers (bottom up):
 See DESIGN.md for the architecture and the determinism argument.
 """
 
-from repro.engine.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache
-from repro.engine.executor import (
-    DEFAULT_JOB_TIMEOUT,
-    Executor,
-    JobFailure,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.engine.jobspec import (
-    DEFAULT_DRAIN,
-    DEFAULT_MEASURE,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-    JobSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "DEFAULT_DRAIN",
-    "DEFAULT_MEASURE",
-    "DEFAULT_SEED",
-    "DEFAULT_WARMUP",
-    "DEFAULT_JOB_TIMEOUT",
-    "Executor",
-    "JobFailure",
-    "JobSpec",
-    "ProcessPoolBackend",
-    "ResultCache",
-    "SerialBackend",
-    "make_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.cache": ("CACHE_VERSION", "DEFAULT_CACHE_DIR", "ResultCache"),
+        "repro.engine.executor": (
+            "DEFAULT_JOB_TIMEOUT",
+            "Executor",
+            "JobFailure",
+            "ProcessPoolBackend",
+            "SerialBackend",
+            "make_backend",
+        ),
+        "repro.engine.jobspec": (
+            "DEFAULT_DRAIN",
+            "DEFAULT_MEASURE",
+            "DEFAULT_SEED",
+            "DEFAULT_WARMUP",
+            "JobSpec",
+        ),
+    },
+)

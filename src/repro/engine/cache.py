@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -105,17 +104,17 @@ class ResultCache:
 
     def get(self, job):
         """The cached WindowStats for ``job``, or None on a miss."""
-        stats = self._lookup(job)
+        key = job.cache_key  # hashed once per lookup, then handed down
+        stats = self._lookup(self.root / f"{key}.json", job)
         if stats is None:
             self.misses += 1
-            logger.debug("cache miss for %s", job.cache_key[:12])
+            logger.debug("cache miss for %s", key[:12])
         else:
             self.hits += 1
-            logger.debug("cache hit for %s", job.cache_key[:12])
+            logger.debug("cache hit for %s", key[:12])
         return stats
 
-    def _lookup(self, job):
-        path = self.path_for(job)
+    def _lookup(self, path, job):
         try:
             with open(path) as fh:
                 entry = json.load(fh)
@@ -194,6 +193,8 @@ class ResultCache:
         return entry.get("telemetry")
 
     def _write_atomic(self, path, entry):
+        import tempfile  # only a writer pays for it (DESIGN.md §2)
+
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -333,7 +334,12 @@ class ResultCache:
         """
         removed = 0
         for path in self._entries():
-            path.unlink()
+            # a concurrent clear or quarantine may take the entry first;
+            # only files this call removed are counted
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue
             removed += 1
         if self.root.is_dir():
             for orphan in (

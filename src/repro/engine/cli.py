@@ -32,7 +32,6 @@ import argparse
 import logging
 import os
 import sys
-from pprint import pformat
 
 from repro.core.presets import (
     baseline_network,
@@ -51,22 +50,15 @@ from repro.engine.jobspec import (
 from repro.harness import experiments
 from repro.harness.sweep import default_rates, run_sweep, run_sweep_replicated
 from repro.harness.tables import format_series
-from repro.noc.faults import (
-    BitErrorFaults,
-    LinkFaults,
-    RandomFaults,
-    SwingFaults,
-    fault_names,
-)
 from repro.noc.backend import backend_names
-from repro.noc.routing import make_routing, routing_names
+from repro.noc.routing import routing_names
 from repro.traffic.mix import BROADCAST_ONLY, MIXED_TRAFFIC, UNIFORM_UNICAST
-from repro.traffic.patterns import HotspotPattern, make_pattern, pattern_names
-from repro.traffic.processes import (
-    MMPProcess,
-    OnOffProcess,
-    process_names,
-)
+from repro.traffic.patterns import pattern_names
+from repro.traffic.processes import process_names
+
+# Top level holds what building the parser and replaying a cached
+# exhibit need; a subcommand imports the rest where it uses it
+# (DESIGN.md §2).
 
 logger = logging.getLogger(__name__)
 
@@ -212,6 +204,8 @@ def _make_injection(args):
     """The InjectionProcess selected by the CLI flags (None = the
     Bernoulli default, so default cache keys stay byte-identical)."""
     if args.injection == "onoff":
+        from repro.traffic.processes import OnOffProcess
+
         if args.mmp_levels is not None or args.mmp_dwells is not None:
             raise ValueError(
                 "--mmp-levels/--mmp-dwells only apply to --injection mmp"
@@ -223,6 +217,8 @@ def _make_injection(args):
             kwargs["on_rate"] = args.on_rate
         return OnOffProcess(**kwargs)
     if args.injection == "mmp":
+        from repro.traffic.processes import MMPProcess
+
         if args.burst_length is not None or args.on_rate is not None:
             raise ValueError(
                 "--burst-length/--on-rate only apply to --injection onoff"
@@ -288,11 +284,25 @@ def _parse_fault_routers(text):
     return tuple(routers)
 
 
+#: ``--faults`` model name -> the fault flags that apply to it.  The
+#: keys are also the flag's ``choices=``: repro.noc.faults (the whole
+#: recovery stack) is imported only once a model is selected, so the
+#: names are listed here and tests/engine/test_import_budget.py pins
+#: them equal to ``("none",) + fault_names()``.
+FAULT_FLAGS = {
+    "none": (),
+    "biterror": ("--link-error-rate",),
+    "links": ("--link-error-rate", "--fault-links", "--fault-routers"),
+    "random": ("--link-error-rate", "--fault-count", "--fault-at"),
+    "swing": ("--fault-swing",),
+}
+
+
 def _add_fault_args(parser):
     group = parser.add_argument_group("fault injection")
     group.add_argument(
         "--faults",
-        choices=("none",) + tuple(fault_names()),
+        choices=tuple(FAULT_FLAGS),
         default="none",
         help="fault model (default: none, the fault-free fast path)",
     )
@@ -356,13 +366,7 @@ def _make_faults(args):
         "--fault-count": args.fault_count,
         "--fault-at": args.fault_at,
     }
-    applies = {
-        "none": (),
-        "biterror": ("--link-error-rate",),
-        "swing": ("--fault-swing",),
-        "links": ("--link-error-rate", "--fault-links", "--fault-routers"),
-        "random": ("--link-error-rate", "--fault-count", "--fault-at"),
-    }[name]
+    applies = FAULT_FLAGS[name]
     for flag, value in flags.items():
         if value is not None and flag not in applies:
             raise ValueError(
@@ -372,6 +376,13 @@ def _make_faults(args):
             )
     if name == "none":
         return None
+    from repro.noc.faults import (
+        BitErrorFaults,
+        LinkFaults,
+        RandomFaults,
+        SwingFaults,
+    )
+
     if name == "biterror":
         kwargs = {}
         if args.link_error_rate is not None:
@@ -419,6 +430,8 @@ def _make_routing(args):
     default, so default cache keys stay byte-identical)."""
     if args.routing == "xy":
         return None
+    from repro.noc.routing import make_routing
+
     return make_routing(args.routing)
 
 
@@ -430,6 +443,8 @@ def _make_traffic_pattern(args):
                 "--pattern hotspot needs --hotspot N1,N2,... to name "
                 "the hot nodes"
             )
+        from repro.traffic.patterns import HotspotPattern
+
         fraction = 0.5 if args.hotspot_fraction is None else args.hotspot_fraction
         return HotspotPattern(args.hotspot, fraction)
     if args.hotspot is not None or args.hotspot_fraction is not None:
@@ -439,6 +454,8 @@ def _make_traffic_pattern(args):
         )
     if args.pattern == "uniform":
         return None
+    from repro.traffic.patterns import make_pattern
+
     return make_pattern(args.pattern)
 
 
@@ -837,6 +854,8 @@ def cmd_figure(args):
                 "/".join(sorted(SWEEP_FIGURES) + ["reliability"]),
                 args.name,
             )
+        from pprint import pformat
+
         result = PLAIN_FIGURES[args.name]()
         print(pformat(result))
     return 0

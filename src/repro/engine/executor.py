@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -130,6 +129,29 @@ def _run_payload_profiled(payload):
     return stats.to_dict(), telemetry
 
 
+def _preload_workers(jobs, profiled=False):
+    """Import in the parent what the pool's workers are about to run.
+
+    Pools fork, so a module loaded here is inherited warm by every
+    worker of every (retry) pool; left to the workers, each would
+    import the simulator stack itself, once per worker per pool.  The
+    engine's own imports stop at the value types a cache lookup needs
+    (DESIGN.md §2), so a parent that only hashed and missed has loaded
+    none of it yet.
+    """
+    import repro.noc.simulator  # noqa: F401  (every backend's front door)
+    import repro.traffic.generators  # noqa: F401
+    from repro.noc.backend import resolve_backend
+
+    for name in {job.backend for job in jobs}:
+        try:
+            resolve_backend(name)
+        except ValueError:
+            pass  # unknown name: the worker fails that job alone
+    if profiled:
+        import repro.obs.observer  # noqa: F401
+
+
 class ProcessPoolBackend:
     """Fan jobs out over a ``multiprocessing`` pool of workers.
 
@@ -178,6 +200,8 @@ class ProcessPoolBackend:
         a healthy job queued behind slow ones and, conversely, let a
         late job run past its budget on credit from earlier fast gets.
         """
+        import multiprocessing  # only a pool user pays for it
+
         outcomes = [None] * len(payloads)
         attempts = [0] * len(payloads)
         todo = list(range(len(payloads)))
@@ -281,6 +305,7 @@ class ProcessPoolBackend:
 
     def run(self, jobs):
         jobs = list(jobs)
+        _preload_workers(jobs)
         outcomes, attempts = self._map(
             _run_payload, [job.to_payload() for job in jobs]
         )
@@ -299,6 +324,7 @@ class ProcessPoolBackend:
         which points had a flaky first run.
         """
         jobs = list(jobs)
+        _preload_workers(jobs, profiled=True)
         outcomes, attempts = self._map(
             _run_payload_profiled, [job.to_payload() for job in jobs]
         )

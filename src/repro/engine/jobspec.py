@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 
 from repro.noc.config import NocConfig
-from repro.noc.simulator import Simulator
-from repro.traffic.generators import SyntheticTraffic
 from repro.traffic.mix import TrafficMix
 from repro.traffic.patterns import UniformPattern, pattern_from_dict
 from repro.traffic.processes import BernoulliProcess, process_from_dict
@@ -147,13 +145,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data):
-        # lazy import: repro.noc.faults pulls in the recovery stack,
-        # which fault-free engine paths never need
-        from repro.noc.faults import fault_from_dict
-
         pattern = data.get("pattern")
         injection = data.get("injection")
         faults = data.get("faults")
+        if faults is not None:
+            # repro.noc.faults pulls in the recovery stack, which a
+            # fault-free payload (every service POST, pool job and
+            # cache read-back of the paper's exhibits) never needs
+            from repro.noc.faults import fault_from_dict
+
+            faults = fault_from_dict(faults)
         return cls(
             config=NocConfig.from_dict(data["config"]),
             mix=TrafficMix.from_dict(data["mix"]),
@@ -168,7 +169,7 @@ class JobSpec:
             injection=(
                 process_from_dict(injection) if injection is not None else None
             ),
-            faults=fault_from_dict(faults) if faults is not None else None,
+            faults=faults,
             backend=data.get("backend", "object"),
         )
 
@@ -186,6 +187,11 @@ class JobSpec:
     # ----------------------------------------------------------- execution
 
     def _simulator(self, seeds=None, rates=None):
+        # imported where a job *runs*: hashing and cache lookup need
+        # only the value types above (DESIGN.md §2)
+        from repro.noc.simulator import Simulator
+        from repro.traffic.generators import SyntheticTraffic
+
         traffic = SyntheticTraffic(
             self.mix,
             self.rate,

@@ -1,14 +1,12 @@
 """Experiment drivers that regenerate every table and figure."""
 
-from repro.harness import experiments
-from repro.harness.sweep import run_point, run_sweep, run_sweep_batch
-from repro.harness.tables import format_series, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "experiments",
-    "format_series",
-    "format_table",
-    "run_point",
-    "run_sweep",
-    "run_sweep_batch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.harness.sweep": ("run_point", "run_sweep", "run_sweep_batch"),
+        "repro.harness.tables": ("format_series", "format_table"),
+    },
+    submodules=("experiments",),
+)

@@ -13,36 +13,27 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.limits import MeshLimits
-from repro.analysis.prototypes import prototype_comparison
+from repro.analysis.replicas import aggregate_replicas
 from repro.analysis.saturation import find_saturation, saturation_throughput
-from repro.analysis.zero_load import zero_load_latency_config
-from repro.circuits.crossbar import LowSwingCrossbar
-from repro.circuits.eye import repeated_vs_direct
-from repro.circuits.repeater import FullSwingRepeatedLink
-from repro.circuits.rsd import TriStateRSD
-from repro.circuits.sense_amp import SenseAmplifier
 from repro.core.presets import (
     baseline_network,
     proposed_network,
     strawman_network,
 )
-from repro.engine import (
+from repro.engine.jobspec import (
     DEFAULT_DRAIN,
     DEFAULT_MEASURE,
     DEFAULT_SEED,
     DEFAULT_WARMUP,
 )
-from repro.analysis.replicas import aggregate_replicas
 from repro.harness.sweep import default_rates, run_sweep_batch
 from repro.noc.metrics import aggregate
-from repro.noc.simulator import Simulator
-from repro.physical.area import AreaModel
-from repro.physical.critical_path import CriticalPathAnalysis
-from repro.power.meter import PowerMeter
-from repro.power.orion import OrionPowerModel
-from repro.power.postlayout import PostLayoutPowerModel
-from repro.traffic.generators import BernoulliTraffic
 from repro.traffic.mix import BROADCAST_ONLY, MIXED_TRAFFIC
+
+# Only what every exhibit needs is imported here (DESIGN.md §2): the
+# circuit, power and physical models, the prototype table and the
+# simulator load inside the one exhibit that uses them, so a cached
+# fig5 re-plot never pays for numpy or the object loop.
 
 #: offered broadcast rate delivering ~653 Gb/s (the Fig. 6/8 point)
 FIG6_RATE = 653 / 64 / 256
@@ -78,16 +69,22 @@ def table1_limits(ks=(2, 4, 8, 16)):
 
 def table2_prototypes():
     """Table 2: chip prototype comparison."""
+    from repro.analysis.prototypes import prototype_comparison
+
     return prototype_comparison()
 
 
 def table3_critical_path():
     """Table 3: pre/post-layout and measured critical paths."""
+    from repro.physical.critical_path import CriticalPathAnalysis
+
     return CriticalPathAnalysis().report()
 
 
 def table4_area():
     """Table 4: full-swing vs low-swing crossbar and router area."""
+    from repro.physical.area import AreaModel
+
     return AreaModel()
 
 
@@ -306,6 +303,10 @@ def summarize_sweeps(result):
 
 
 def _window_activity(config, rate, low_swing, warmup, measure, seed=7):
+    from repro.noc.simulator import Simulator
+    from repro.power.meter import PowerMeter
+    from repro.traffic.generators import BernoulliTraffic
+
     traffic = BernoulliTraffic(BROADCAST_ONLY, rate, seed=seed)
     sim = Simulator(config, traffic)
     sim.run(warmup)
@@ -352,6 +353,9 @@ def fig6_power_reduction(rate=FIG6_RATE, warmup=1_000, measure=4_000, seed=7):
 
 def fig8_power_models(rate=FIG6_RATE, warmup=1_000, measure=4_000, seed=7):
     """Fig. 8: ORION vs post-layout vs 'measured' power estimates."""
+    from repro.power.orion import OrionPowerModel
+    from repro.power.postlayout import PostLayoutPowerModel
+
     base_cfg, prop_cfg = baseline_network(), proposed_network()
     act_b, meas_b, _ = _window_activity(base_cfg, rate, False, warmup, measure, seed)
     act_p, meas_p, _ = _window_activity(prop_cfg, rate, True, warmup, measure, seed)
@@ -390,6 +394,9 @@ def fig8_power_models(rate=FIG6_RATE, warmup=1_000, measure=4_000, seed=7):
 
 def fig7_lowswing_energy(lengths_mm=(1.0, 2.0), alpha=0.5):
     """Fig. 7: RSD vs full-swing repeater energy on PRBS-like data."""
+    from repro.circuits.repeater import FullSwingRepeatedLink
+    from repro.circuits.rsd import TriStateRSD
+
     rows = []
     for length in lengths_mm:
         rsd = TriStateRSD(length)
@@ -408,6 +415,9 @@ def fig7_lowswing_energy(lengths_mm=(1.0, 2.0), alpha=0.5):
 
 def fig10_reliability(swings_mv=(100, 150, 200, 250, 300, 350, 400), runs=1000):
     """Fig. 10: energy vs failure probability across voltage swings."""
+    from repro.circuits.rsd import TriStateRSD
+    from repro.circuits.sense_amp import SenseAmplifier
+
     amp = SenseAmplifier()
     rows = []
     for swing in swings_mv:
@@ -426,6 +436,8 @@ def fig10_reliability(swings_mv=(100, 150, 200, 250, 300, 350, 400), runs=1000):
 
 def fig11_multicast_power(data_rate_gbps=5.0):
     """Fig. 11: RSD crossbar dynamic power vs multicast fanout."""
+    from repro.circuits.crossbar import LowSwingCrossbar
+
     xbar = LowSwingCrossbar()
     return [
         {
@@ -438,11 +450,17 @@ def fig11_multicast_power(data_rate_gbps=5.0):
 
 def fig12_eye_margin(runs=1000):
     """Fig. 12: repeated vs direct 2mm low-swing transmission."""
+    from repro.circuits.eye import repeated_vs_direct
+
     return repeated_vs_direct(runs=runs)
 
 
 def low_load_power_breakdown(rate=3 / 255, warmup=1_000, measure=4_000):
     """Section 4.1's per-router low-load analysis vs the 5.6 mW floor."""
+    from repro.noc.simulator import Simulator
+    from repro.power.meter import PowerMeter
+    from repro.traffic.generators import BernoulliTraffic
+
     cfg = proposed_network()
     traffic = BernoulliTraffic(
         BROADCAST_ONLY, rate, seed=7, identical_generators=True
@@ -474,5 +492,7 @@ def low_load_power_breakdown(rate=3 / 255, warmup=1_000, measure=4_000):
 
 def zero_load_model_check(config=None, traffic="unicast"):
     """Analytic zero-load latency for a design point (sanity helper)."""
+    from repro.analysis.zero_load import zero_load_latency_config
+
     cfg = config or proposed_network()
     return zero_load_latency_config(cfg, traffic=traffic)

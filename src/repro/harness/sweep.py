@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 
 from repro.analysis.replicas import replica_seeds
-from repro.engine import (
+from repro.engine.executor import Executor
+from repro.engine.jobspec import (
     DEFAULT_DRAIN,
     DEFAULT_MEASURE,
     DEFAULT_SEED,
     DEFAULT_WARMUP,
-    Executor,
     JobSpec,
 )
 

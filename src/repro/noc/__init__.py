@@ -10,44 +10,32 @@ router-level multicast) plugs into this substrate and is surfaced
 through :mod:`repro.core`.
 """
 
-from repro.noc.config import NocConfig, VCSpec, proposed_vc_config
-from repro.noc.flit import Flit, Message, MessageClass, Packet
-from repro.noc.mesh import MeshNetwork
-from repro.noc.ports import LOCAL, NORTH, EAST, SOUTH, WEST, PORT_NAMES
-from repro.noc.routing import (
-    O1TurnRouting,
-    RoutingAlgorithm,
-    ValiantRouting,
-    XYRouting,
-    YXRouting,
-    make_routing,
-    routing_from_dict,
-    routing_names,
-)
-from repro.noc.simulator import Simulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Flit",
-    "LOCAL",
-    "EAST",
-    "MeshNetwork",
-    "Message",
-    "MessageClass",
-    "NORTH",
-    "NocConfig",
-    "O1TurnRouting",
-    "PORT_NAMES",
-    "Packet",
-    "RoutingAlgorithm",
-    "SOUTH",
-    "Simulator",
-    "VCSpec",
-    "ValiantRouting",
-    "WEST",
-    "XYRouting",
-    "YXRouting",
-    "make_routing",
-    "routing_from_dict",
-    "routing_names",
-    "proposed_vc_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.noc.config": ("NocConfig", "VCSpec", "proposed_vc_config"),
+        "repro.noc.flit": ("Flit", "Message", "MessageClass", "Packet"),
+        "repro.noc.mesh": ("MeshNetwork",),
+        "repro.noc.ports": (
+            "LOCAL",
+            "NORTH",
+            "EAST",
+            "SOUTH",
+            "WEST",
+            "PORT_NAMES",
+        ),
+        "repro.noc.routing": (
+            "O1TurnRouting",
+            "RoutingAlgorithm",
+            "ValiantRouting",
+            "XYRouting",
+            "YXRouting",
+            "make_routing",
+            "routing_from_dict",
+            "routing_names",
+        ),
+        "repro.noc.simulator": ("Simulator",),
+    },
+)

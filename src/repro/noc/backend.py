@@ -20,8 +20,9 @@ workload it supports.  Two backends ship:
   *rejects* everything else — ``separate_st_lt``, faults, probes —
   with a clear error rather than silently diverging.
 
-The registry is name → lazy loader, so importing :mod:`repro.noc`
-never pays for numpy unless the array backend is actually selected.
+The registry is name → lazy loader, so nothing — :mod:`repro.noc`,
+the engine, the ``repro`` CLI — pays for numpy unless the array
+backend is actually selected (tests/engine/test_import_budget.py).
 Backend choice is an *execution* detail, never an identity axis: a
 :class:`~repro.engine.jobspec.JobSpec`'s canonical encoding (and hence
 its cache key) is backend-free, because equal jobs produce equal bytes

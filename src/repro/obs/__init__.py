@@ -17,25 +17,20 @@ Typical use::
     obs.detach()
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    event_dicts,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.observer import Observer
-from repro.obs.profiler import PhaseProfiler
-from repro.obs.sampler import MetricsSampler
-from repro.obs.tracer import EVENT_KINDS, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "MetricsSampler",
-    "Observer",
-    "PhaseProfiler",
-    "Tracer",
-    "chrome_trace",
-    "event_dicts",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "chrome_trace",
+            "event_dicts",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        "repro.obs.observer": ("Observer",),
+        "repro.obs.profiler": ("PhaseProfiler",),
+        "repro.obs.sampler": ("MetricsSampler",),
+        "repro.obs.tracer": ("EVENT_KINDS", "Tracer"),
+    },
+)

@@ -1,14 +1,15 @@
 """Physical-design models: gate delays, critical paths and area."""
 
-from repro.physical.area import AreaModel
-from repro.physical.critical_path import CriticalPathAnalysis, CriticalPathReport
-from repro.physical.gates import Gate, GateChain, STD_GATES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AreaModel",
-    "CriticalPathAnalysis",
-    "CriticalPathReport",
-    "Gate",
-    "GateChain",
-    "STD_GATES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.physical.area": ("AreaModel",),
+        "repro.physical.critical_path": (
+            "CriticalPathAnalysis",
+            "CriticalPathReport",
+        ),
+        "repro.physical.gates": ("Gate", "GateChain", "STD_GATES"),
+    },
+)

@@ -1,14 +1,13 @@
 """Power modelling: calibrated (silicon-proxy), ORION-style and post-layout."""
 
-from repro.power.energy_model import CalibratedEnergyModel
-from repro.power.meter import PowerBreakdown, PowerMeter
-from repro.power.orion import OrionPowerModel
-from repro.power.postlayout import PostLayoutPowerModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CalibratedEnergyModel",
-    "OrionPowerModel",
-    "PostLayoutPowerModel",
-    "PowerBreakdown",
-    "PowerMeter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.power.energy_model": ("CalibratedEnergyModel",),
+        "repro.power.meter": ("PowerBreakdown", "PowerMeter"),
+        "repro.power.orion": ("OrionPowerModel",),
+        "repro.power.postlayout": ("PostLayoutPowerModel",),
+    },
+)

@@ -30,14 +30,10 @@ or build an app in-process (tests use Flask's test client — no network):
 
 from __future__ import annotations
 
-__all__ = ["create_app"]
+from repro._lazy import lazy_exports
 
-
-def __getattr__(name):
-    # lazy so that `import repro.service` (and the Flask-free
-    # submodules) works on an installation without the service extra
-    if name == "create_app":
-        from repro.service.app import create_app
-
-        return create_app
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# lazy so that `import repro.service` (and the Flask-free submodules)
+# works on an installation without the service extra
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.service.app": ("create_app",)}
+)

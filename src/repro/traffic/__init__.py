@@ -1,71 +1,46 @@
 """Traffic generation: injection processes, patterns and PRBS sources."""
 
-from repro.traffic.generators import (
-    BernoulliTraffic,
-    SyntheticBurst,
-    SyntheticTraffic,
-)
-from repro.traffic.mix import (
-    BROADCAST_ONLY,
-    MIXED_TRAFFIC,
-    UNIFORM_UNICAST,
-    TrafficMix,
-    TrafficComponent,
-)
-from repro.traffic.patterns import (
-    BitComplementPattern,
-    BitReversalPattern,
-    DestinationPattern,
-    HotspotPattern,
-    NeighborPattern,
-    ShufflePattern,
-    TornadoPattern,
-    TransposePattern,
-    UniformPattern,
-    make_pattern,
-    pattern_from_dict,
-    pattern_names,
-)
-from repro.traffic.prbs import PRBSGenerator
-from repro.traffic.processes import (
-    BernoulliProcess,
-    InjectionProcess,
-    MMPProcess,
-    OnOffProcess,
-    make_process,
-    process_from_dict,
-    process_names,
-)
-from repro.traffic.spec import MessageSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BROADCAST_ONLY",
-    "BernoulliProcess",
-    "BernoulliTraffic",
-    "BitComplementPattern",
-    "BitReversalPattern",
-    "DestinationPattern",
-    "HotspotPattern",
-    "InjectionProcess",
-    "MIXED_TRAFFIC",
-    "MMPProcess",
-    "MessageSpec",
-    "NeighborPattern",
-    "OnOffProcess",
-    "PRBSGenerator",
-    "ShufflePattern",
-    "SyntheticBurst",
-    "SyntheticTraffic",
-    "TornadoPattern",
-    "TrafficComponent",
-    "TrafficMix",
-    "TransposePattern",
-    "UNIFORM_UNICAST",
-    "UniformPattern",
-    "make_pattern",
-    "make_process",
-    "pattern_from_dict",
-    "pattern_names",
-    "process_from_dict",
-    "process_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.traffic.generators": (
+            "BernoulliTraffic",
+            "SyntheticBurst",
+            "SyntheticTraffic",
+        ),
+        "repro.traffic.mix": (
+            "BROADCAST_ONLY",
+            "MIXED_TRAFFIC",
+            "UNIFORM_UNICAST",
+            "TrafficMix",
+            "TrafficComponent",
+        ),
+        "repro.traffic.patterns": (
+            "BitComplementPattern",
+            "BitReversalPattern",
+            "DestinationPattern",
+            "HotspotPattern",
+            "NeighborPattern",
+            "ShufflePattern",
+            "TornadoPattern",
+            "TransposePattern",
+            "UniformPattern",
+            "make_pattern",
+            "pattern_from_dict",
+            "pattern_names",
+        ),
+        "repro.traffic.prbs": ("PRBSGenerator",),
+        "repro.traffic.processes": (
+            "BernoulliProcess",
+            "InjectionProcess",
+            "MMPProcess",
+            "OnOffProcess",
+            "make_process",
+            "process_from_dict",
+            "process_names",
+        ),
+        "repro.traffic.spec": ("MessageSpec",),
+    },
+)

@@ -211,6 +211,48 @@ def test_stats_tolerates_entries_vanishing_mid_scan(tmp_path, monkeypatch):
     assert info["bytes"] == survivor_bytes  # the vanished entry counts 0
 
 
+def test_clear_tolerates_entries_vanishing_mid_scan(tmp_path, monkeypatch):
+    """A second ``repro cache clear`` (or a quarantining service worker)
+    may take an entry between the glob and the unlink: no traceback,
+    and only the files this call removed are counted."""
+    cache = ResultCache(tmp_path / "cache")
+    jobs = [make_job(rate=r) for r in (0.02, 0.04)]
+    for job in jobs:
+        cache.put(job, job.run())
+    victim = cache.path_for(jobs[0])
+    real_entries = ResultCache._entries
+
+    def glob_then_lose(self):
+        paths = real_entries(self)
+        victim.unlink(missing_ok=True)  # the other clear wins the race
+        return paths
+
+    monkeypatch.setattr(ResultCache, "_entries", glob_then_lose)
+    assert cache.clear() == 1  # must not raise
+    assert list(cache.root.iterdir()) == []
+
+
+def test_a_lookup_hashes_the_job_once(tmp_path, monkeypatch):
+    """The content address is computed once per ``get`` — hit or miss,
+    whatever the log level — and handed down, not re-derived."""
+    cache = ResultCache(tmp_path / "cache")
+    hit, miss = make_job(), make_job(rate=0.05)
+    cache.put(hit, hit.run())
+    calls = []
+    real = JobSpec.canonical_json
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(JobSpec, "canonical_json", counted)
+    assert cache.get(hit) is not None
+    assert calls == [hit]
+    del calls[:]
+    assert cache.get(miss) is None
+    assert calls == [miss]
+
+
 def test_clear_sweeps_the_counter_lock_file(tmp_path):
     pytest.importorskip("fcntl")  # no lock file on non-POSIX platforms
     cache = ResultCache(tmp_path / "cache")
